@@ -55,6 +55,17 @@ func finetuneSizes(tiny bool) finetuneScale {
 		evalAt: 48, minSteps: 100, recallEvery: 8, setupN: 3, maxWall: 120 * time.Second}
 }
 
+// probed shrinks a scale to a probe's: one set-up, the quality check after
+// 8 steps, 12 steps in all and an oracle comparison every other traced
+// step.
+func (sc finetuneScale) probed() finetuneScale {
+	sc.setupN = 1
+	sc.evalAt = min(sc.evalAt, 8)
+	sc.minSteps = min(sc.minSteps, 12)
+	sc.recallEvery = min(sc.recallEvery, 2)
+	return sc
+}
+
 // finetuneInputs holds the seeded examples: training batches, the
 // predictor calibration batches and held-out evaluation batches.
 type finetuneInputs struct {
@@ -111,6 +122,9 @@ func perplexity(m *nn.Transformer, batches []data.Batch) float64 {
 
 func runFinetuneLong(o options) (*outcome, error) {
 	sc := finetuneSizes(o.tiny)
+	if o.probe {
+		sc = sc.probed()
+	}
 	in := makeFinetuneInputs(sc, o.seed)
 	sess, setupS, err := medianSetup(sc.setupN, func() (*finetuneSession, error) {
 		return setupFinetune(sc, in), nil
@@ -235,13 +249,13 @@ func runFinetuneLong(o options) (*outcome, error) {
 		for _, v := range leStep {
 			leTotal += v
 		}
+		// The operation is a Long Exposure step; its tokens are the
+		// batch's training tokens.
 		out.set("setup_s", "s", setupS)
 		out.set("peak_heap_mb", "MB", peak)
-		out.set("ft_step_ms_p50", "ms", median(leStep))
-		out.set("ft_step_ms_p90", "ms", quantile(leStep, 0.9))
-		out.set("ft_tokens_per_s", "tokens/s", float64(tokens)/(leTotal/1000))
-		out.set("dense_step_ms_p50", "ms", median(denseStep))
-		out.set("ft_eval_ppl", "ppl", lePPL)
+		out.set("latency_ms_p50", "ms", median(leStep))
+		out.set("latency_ms_p90", "ms", quantile(leStep, 0.9))
+		out.set("tokens_per_s", "tokens/s", float64(tokens)/(leTotal/1000))
 		return out, nil
 	}
 
@@ -258,7 +272,9 @@ func runFinetuneLong(o options) (*outcome, error) {
 	out.set("train.predict_ms", "ms", phaseMs(lePhases, func(p train.PhaseTimes) time.Duration { return p.Predict }))
 	out.set("train.dense_forward_ms", "ms", phaseMs(densePhases, func(p train.PhaseTimes) time.Duration { return p.Forward }))
 	out.set("train.dense_backward_ms", "ms", phaseMs(densePhases, func(p train.PhaseTimes) time.Duration { return p.Backward }))
+	out.set("train.dense_step_ms", "ms", median(denseStep))
 	out.set("train.le_speedup", "x", median(denseStep)/median(leStep))
+	out.set("train.eval_ppl", "ppl", lePPL)
 	out.set("nn.attn_fwd_ms", "ms", median(attnFwd))
 	out.set("nn.mlp_fwd_ms", "ms", median(mlpFwd))
 	out.set("nn.attn_fwd_dense_ms", "ms", median(attnFwdD))

@@ -5,26 +5,35 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"longexposure/internal/jobs"
 )
 
 type jobsScale struct {
-	model            string
-	seq, steps       int
-	clients, workers int
-	minJobs, setupN  int
-	maxWall          time.Duration
+	model           string
+	seq, steps      int
+	workers         int
+	minJobs, setupN int
+	maxWall         time.Duration
 }
 
 func jobsSizes(tiny bool) jobsScale {
 	if tiny {
-		return jobsScale{model: "sim-small", seq: 16, steps: 2, clients: 2, workers: 2, minJobs: 4, setupN: 1, maxWall: 30 * time.Second}
+		return jobsScale{model: "sim-small", seq: 16, steps: 2, workers: 2, minJobs: 4, setupN: 1, maxWall: 30 * time.Second}
 	}
-	return jobsScale{model: "OPT-1.3B", seq: 64, steps: 4, clients: 2, workers: 2, minJobs: 100, setupN: 5, maxWall: 100 * time.Second}
+	return jobsScale{model: "OPT-1.3B", seq: 64, steps: 4, workers: 2, minJobs: 100, setupN: 5, maxWall: 100 * time.Second}
 }
+
+// probed shrinks a scale to a probe's: one set-up and 6 jobs.
+func (sc jobsScale) probed() jobsScale {
+	sc.setupN = 1
+	sc.minJobs = min(sc.minJobs, 6)
+	return sc
+}
+
+// jobBatch is every job's batch size.
+const jobBatch = 2
 
 var jobMethods = []string{"lora", "adapter", "bitfit"}
 
@@ -35,6 +44,7 @@ func jobSpec(sc jobsScale, seed uint64, n int) jobs.Spec {
 		Model:  sc.model,
 		Method: jobMethods[n%len(jobMethods)],
 		Seq:    sc.seq,
+		Batch:  jobBatch,
 		Steps:  sc.steps,
 		Seed:   seed*1_000_003 + uint64(n) + 1,
 	}}
@@ -158,6 +168,9 @@ func jobPhases(events []jobs.Event) (queue, pretrain, train, publish time.Durati
 
 func runFinetuneJobs(o options) (*outcome, error) {
 	sc := jobsSizes(o.tiny)
+	if o.probe {
+		sc = sc.probed()
+	}
 	warm := 0 // warm-up jobs take seeds below the measured ones
 	setup := func(traced bool) func() (*apiServer, error) {
 		return func() (*apiServer, error) {
@@ -191,48 +204,34 @@ func runFinetuneJobs(o options) (*outcome, error) {
 		servers = append(servers, bare)
 	}
 
-	var (
-		mu      sync.Mutex
-		records []jobRecord
-		next    int
-	)
+	// One client submits the jobs one after another. With two, equal-length
+	// jobs from the two closed loops lock into whatever overlap the run
+	// starts with, so the median job time jumps between the overlapped and
+	// the staggered case from run to run.
+	clients := make([]*http.Client, len(servers))
+	for i := range clients {
+		clients[i] = newClient()
+	}
+	var records []jobRecord
 	heap := startHeapSampler()
 	start := time.Now()
 	deadline := start.Add(time.Duration(o.seconds * float64(time.Second)))
-	var wg sync.WaitGroup
-	for c := 0; c < sc.clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			clients := make([]*http.Client, len(servers))
-			for i := range clients {
-				clients[i] = newClient()
-			}
-			for {
-				mu.Lock()
-				now := time.Now()
-				stop := (now.After(deadline) && next >= sc.minJobs) || now.Sub(start) > sc.maxWall
-				n := next
-				next++
-				mu.Unlock()
-				if stop {
-					return
-				}
-				target := n % len(servers)
-				rec := runJob(clients[target], servers[target].url, jobSpec(sc, o.seed, n))
-				rec.traced = servers[target].traced
-				mu.Lock()
-				records = append(records, rec)
-				mu.Unlock()
-			}
-		}()
+	for n := 0; ; n++ {
+		now := time.Now()
+		if (now.After(deadline) && n >= sc.minJobs) || now.Sub(start) > sc.maxWall {
+			break
+		}
+		target := n % len(servers)
+		rec := runJob(clients[target], servers[target].url, jobSpec(sc, o.seed, n))
+		rec.traced = servers[target].traced
+		records = append(records, rec)
 	}
-	wg.Wait()
 	elapsed := time.Since(start)
 	peak := heap.peakMB()
 
 	out := newOutcome()
 	var jobS, tracedS, bareS, queue, pretrain, trainMs, publish []float64
+	tokens := 0
 	for i, rec := range records {
 		if o.corrupt && i == 0 && len(rec.events) > 0 {
 			// Test hook: a job whose terminal event is a failure must count.
@@ -245,6 +244,7 @@ func runFinetuneJobs(o options) (*outcome, error) {
 			continue
 		}
 		out.ok()
+		tokens += rec.spec.Finetune.Steps * jobBatch * rec.spec.Finetune.Seq
 		s := rec.finished.Sub(rec.submitted).Seconds()
 		jobS = append(jobS, s)
 		if rec.traced {
@@ -261,13 +261,17 @@ func runFinetuneJobs(o options) (*outcome, error) {
 	}
 	out.samples["jobs"] = len(jobS)
 	if !o.trace {
+		// The operation is a job, from submission to its done frame; its
+		// tokens are the training tokens it fine-tunes on, so the rate is
+		// the service's fine-tuning throughput.
 		out.set("setup_s", "s", setupS)
 		out.set("peak_heap_mb", "MB", peak)
-		out.set("job_s_p50", "s", median(jobS))
-		out.set("job_s_p90", "s", quantile(jobS, 0.9))
-		out.set("jobs_per_s", "1/s", float64(len(jobS))/elapsed.Seconds())
+		out.set("latency_ms_p50", "ms", 1000*median(jobS))
+		out.set("latency_ms_p90", "ms", 1000*quantile(jobS, 0.9))
+		out.set("tokens_per_s", "tokens/s", float64(tokens)/elapsed.Seconds())
 		return out, nil
 	}
+	out.set("jobs.per_s", "1/s", float64(len(jobS))/elapsed.Seconds())
 	out.set("jobs.queue_ms", "ms", median(queue))
 	out.set("jobs.pretrain_ms", "ms", median(pretrain))
 	out.set("jobs.train_ms", "ms", median(trainMs))

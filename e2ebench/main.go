@@ -2,7 +2,10 @@
 // the three surfaces users touch — the fine-tuning library, the job
 // service and the KV-cached generation gateway — measured end to end, with
 // a separate traced run that breaks the time down per layer by timing
-// calls into each module from outside it. See README.md.
+// calls into each module from outside it. Every workload reports the same
+// metrics: each end-to-end metric is defined on every workload, and a
+// traced run fills in the layers its workload does not exercise with short
+// probes of the other workloads. See README.md.
 //
 // Usage (from the repository root):
 //
@@ -37,6 +40,9 @@ type options struct {
 	// tiny selects test-size models and sample floors so every workload
 	// finishes in about a second.
 	tiny bool
+	// probe selects the short traced run that supplies another workload's
+	// per-layer metrics: one set-up and small sample floors.
+	probe bool
 	// corrupt perturbs one reference output before comparison. Tests use
 	// it to prove the correctness check fails when outputs disagree.
 	corrupt bool
@@ -90,6 +96,52 @@ var workloads = map[string]func(options) (*outcome, error){
 	"serve_mixed":   runServeMixed,
 }
 
+// probeSeconds is the measured duration of each probe in a traced run.
+const probeSeconds = 2
+
+// runWorkload runs the named workload. A traced run then probes every other
+// workload and takes from each probe the per-layer metrics the workload
+// itself did not produce, so every traced run reports every layer; the
+// probes' operations count as the run's own.
+func runWorkload(name string, o options) (*outcome, error) {
+	out, err := workloads[name](o)
+	if err != nil || !o.trace {
+		return out, err
+	}
+	others := make([]string, 0, len(workloads))
+	for n := range workloads {
+		if n != name {
+			others = append(others, n)
+		}
+	}
+	sort.Strings(others)
+	for _, n := range others {
+		po := o
+		po.probe, po.seconds = true, probeSeconds
+		p, err := workloads[n](po)
+		if err != nil {
+			return nil, fmt.Errorf("probe %s: %w", n, err)
+		}
+		for m, v := range p.metrics {
+			if _, ok := out.metrics[m]; !ok {
+				out.metrics[m] = v
+			}
+		}
+		for k, v := range p.samples {
+			out.samples["probe."+n+"."+k] = v
+		}
+		out.attempted += p.attempted
+		out.succeeded += p.succeeded
+		out.failed += p.failed
+		for _, f := range p.failures {
+			if len(out.failures) < 20 {
+				out.failures = append(out.failures, "probe "+n+": "+f)
+			}
+		}
+	}
+	return out, nil
+}
+
 // result is the contract line printed last.
 type result struct {
 	Correct   bool              `json:"correct"`
@@ -122,8 +174,7 @@ func main() {
 		traced   = flag.Int("trace", 0, "0 reports end-to-end metrics; 1 runs traced and reports per-layer metrics")
 	)
 	flag.Parse()
-	run, found := workloads[*workload]
-	if !found {
+	if _, found := workloads[*workload]; !found {
 		names := make([]string, 0, len(workloads))
 		for n := range workloads {
 			names = append(names, n)
@@ -144,7 +195,7 @@ func main() {
 	defer os.RemoveAll(work)
 
 	start := time.Now()
-	out, err := run(options{seed: *seed, seconds: *seconds, trace: *traced == 1, workDir: work})
+	out, err := runWorkload(*workload, options{seed: *seed, seconds: *seconds, trace: *traced == 1, workDir: work})
 	if err != nil {
 		os.RemoveAll(work)
 		fatalf("%s: %v", *workload, err)

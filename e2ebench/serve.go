@@ -27,6 +27,14 @@ type serveScale struct {
 	maxWall              time.Duration
 }
 
+// probed shrinks a scale to a probe's: one set-up and 16 requests.
+func (sc serveScale) probed() serveScale {
+	sc.jobs = sc.jobs.probed()
+	sc.setupN = 1
+	sc.minRequests = min(sc.minRequests, 16)
+	return sc
+}
+
 // servingBaseSeed fixes the base model the setup jobs fine-tune; the
 // workload seed varies only the requests.
 const servingBaseSeed = 7
@@ -244,6 +252,9 @@ func spanDurations(c *http.Client, url string, names ...string) (map[string][]fl
 
 func runServeMixed(o options) (*outcome, error) {
 	sc := serveSizes(o.tiny)
+	if o.probe {
+		sc = sc.probed()
+	}
 	var ids []string
 	srv, setupS, err := medianSetup(sc.setupN, func() (*apiServer, error) {
 		s, err := startServer(o.workDir, sc.jobs.workers, o.trace)
@@ -350,7 +361,7 @@ func runServeMixed(o options) (*outcome, error) {
 	}
 
 	out := newOutcome()
-	var ttft, itl, itlDense, itlAuto, late, tracedITL, bareITL []float64
+	var ttft, itl, itlDense, itlAuto, late, tracedITL, bareITL, rates []float64
 	for i, rec := range records {
 		req := pool[rec.idx]
 		want, err := ref.memoTokens(rec.idx, req)
@@ -371,6 +382,9 @@ func runServeMixed(o options) (*outcome, error) {
 		out.ok()
 		ttft = append(ttft, ms(rec.arrivals[0].Sub(rec.due)))
 		late = append(late, ms(rec.sent.Sub(rec.due)))
+		if k := len(rec.arrivals) - 1; k > 0 {
+			rates = append(rates, float64(k)/rec.arrivals[k].Sub(rec.arrivals[0]).Seconds())
+		}
 		for k := 1; k < len(rec.arrivals); k++ {
 			gap := ms(rec.arrivals[k].Sub(rec.arrivals[k-1]))
 			itl = append(itl, gap)
@@ -389,11 +403,14 @@ func runServeMixed(o options) (*outcome, error) {
 	out.samples["requests"] = len(ttft)
 	out.samples["itl_gaps"] = len(itl)
 	if !o.trace {
+		// The operation is a request, timed from when it was due to its
+		// first token (TTFT); the rate is the median speed at which a
+		// request streams its tokens after the first.
 		out.set("setup_s", "s", setupS)
 		out.set("peak_heap_mb", "MB", peak)
-		out.set("ttft_ms_p50", "ms", median(ttft))
-		out.set("ttft_ms_p90", "ms", quantile(ttft, 0.9))
-		out.set("itl_ms_p50", "ms", median(itl))
+		out.set("latency_ms_p50", "ms", median(ttft))
+		out.set("latency_ms_p90", "ms", quantile(ttft, 0.9))
+		out.set("tokens_per_s", "tokens/s", median(rates))
 		return out, nil
 	}
 
@@ -410,6 +427,7 @@ func runServeMixed(o options) (*outcome, error) {
 		(after[occ+"sum"]-before[occ+"sum"])/(after[occ+"count"]-before[occ+"count"]))
 	out.set("infer.plan_mlp_density", "ratio", planMLP)
 	out.set("infer.plan_attn_density", "ratio", planAttn)
+	out.set("serve.itl_ms_p50", "ms", median(itl))
 	out.set("serve.itl_ms_p90", "ms", quantile(itl, 0.9))
 	out.set("serve.itl_dense_ms_p50", "ms", median(itlDense))
 	out.set("serve.itl_auto_ms_p50", "ms", median(itlAuto))
